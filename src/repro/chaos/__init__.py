@@ -14,7 +14,7 @@ from repro.chaos.artifact import load_artifact, write_artifact
 from repro.chaos.config import PLANTS, ChaosConfig
 from repro.chaos.engine import ExplorationReport, IterationOutcome, explore, replay
 from repro.chaos.generator import PROFILES, generate_schedule, resolve_profile
-from repro.chaos.live import LiveChaosCluster, replay_live, run_live_schedule
+from repro.chaos.live import replay_live, run_live_schedule
 from repro.chaos.oracles import ORACLES, RunObservation, Violation, run_oracles
 from repro.chaos.runner import RunResult, disruption_spans, run_schedule, trace_digest
 from repro.chaos.shrink import shrink_events
@@ -23,7 +23,6 @@ __all__ = [
     "ChaosConfig",
     "ExplorationReport",
     "IterationOutcome",
-    "LiveChaosCluster",
     "ORACLES",
     "PLANTS",
     "PROFILES",

@@ -20,6 +20,15 @@ transports, fence the recorded seqs off the simulator's counter, inject
 every frame at its recorded coordinate, and run — the event heap pops in
 the identical order and the trace digest matches bit-for-bit.
 
+**One stack, one dispatcher.**  The cluster is the framework's one
+cluster type, built by :func:`repro.net.cluster.live_cluster` over
+fault-injecting UDP transports (live) or null transports (replay);
+faults go through the one dispatcher (:mod:`repro.faults.injector`),
+which drives the :class:`~repro.net.faults.FaultPlane` live and, in a
+replay, traces wire faults and skips them — their effect is already in
+the frame log.  The heal sweep and the clean-window/oracle/digest
+evaluation are the sim runner's own (:mod:`repro.chaos.runner`).
+
 **Phasing.**  Everything — client connects, session starts, workload
 interactions, every fault, the heal sweep — is pre-scheduled as
 simulator events before the pacer takes its first step, exactly like the
@@ -36,27 +45,22 @@ imperative phase interleaving to race against the wall clock::
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable
 
 from repro.chaos.config import ChaosConfig
-from repro.chaos.oracles import RunObservation, run_oracles
-from repro.chaos.runner import RunResult, disruption_spans, trace_digest
-from repro.core.client import ServiceClient, SessionHandle
-from repro.core.server import FrameworkServer
-from repro.core.wire import content_group
-from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.chaos.runner import evaluate, heal_sweep, start_viewer, vod_units
+from repro.core.client import SessionHandle
+from repro.core.service import ServiceCluster
+from repro.faults.injector import inject
+from repro.faults.schedule import FaultSchedule
 from repro.gcs.settings import GcsSettings
-from repro.gcs.spec import SpecMonitor
-from repro.metrics.windows import pad_intervals, subtract_intervals
+from repro.net.cluster import live_cluster, open_mesh
 from repro.net.faults import FaultPlane, FaultyTransport, wan_profile
 from repro.net.replay import IngressLog, ReplayTransport
-from repro.net.runtime import LiveNetwork, LiveRuntime
+from repro.net.runtime import IngressRecorder, LiveRuntime
 from repro.net.transport import MeshTransport, UdpLoopbackTransport
-from repro.services import VodApplication, build_movie
 from repro.services.workload import VodViewerWorkload
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
 
 #: Wall seconds between pacer start and client connects/session starts —
 #: long enough for the first view to form under live_lan timings.
@@ -82,197 +86,36 @@ def _live_settings(config: ChaosConfig) -> GcsSettings:
     return config.apply_plant_settings(settings)
 
 
-class LiveChaosCluster:
-    """A live cluster shaped like :class:`~repro.core.service.ServiceCluster`
-    where the oracles and audit metrics are concerned: ``sim``,
-    ``servers``, ``clients``, ``monitor``, ``trace_log()``,
-    ``primaries_of()``."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        trace: TraceLog,
-        monitor: SpecMonitor,
-        transports: dict[str, MeshTransport],
-        networks: dict[str, LiveNetwork],
-        servers: dict[str, FrameworkServer],
-        clients: dict[str, ServiceClient],
-        plane: FaultPlane | None,
-    ) -> None:
-        self.sim = sim
-        self.trace = trace
-        self.monitor = monitor
-        self.transports = transports
-        self.networks = networks
-        self.servers = servers
-        self.clients = clients
-        self.plane = plane
-
-    def trace_log(self) -> TraceLog:
-        return self.trace
-
-    def primaries_of(self, session_id: str) -> list[str]:
-        return [
-            server_id
-            for server_id, server in self.servers.items()
-            if server.is_up() and session_id in server.primary_sessions()
-        ]
-
-    async def close(self) -> None:
-        for transport in self.transports.values():
-            await transport.close()
-
-
 def _assemble(
     config: ChaosConfig,
     sim: Simulator,
     transports: dict[str, MeshTransport],
-    settings: GcsSettings,
-    plane: FaultPlane | None,
-    recorder: Callable[[Any, float, int, bytes], None] | None = None,
-    wake: Callable[[], None] | None = None,
-) -> LiveChaosCluster:
-    """Build the protocol stack over already-created transports.
-
-    Shared verbatim between the live builder and the replay builder so
-    construction order — and therefore every RNG stream, timer, and
-    sequence-number allocation — is identical in both.
-    """
-    trace = TraceLog(enabled=True)
-    monitor = SpecMonitor()
-    networks: dict[str, LiveNetwork] = {}
-    for node in [*config.server_ids, *config.client_ids]:
-        networks[node] = LiveNetwork(
-            sim,
-            transports[node],
-            trace=trace,
-            wake=wake,
-            node_id=node,
-            recorder=recorder,
-        )
-    movies = {
-        unit: build_movie(unit, duration_seconds=600.0, frame_rate=10.0)
-        for unit in config.unit_ids
-    }
-    app = VodApplication(movies)
-    catalog = {unit: content_group(unit) for unit in movies}
-    policy = config.build_policy()
-    servers: dict[str, FrameworkServer] = {}
-    for server_id in config.server_ids:
-        servers[server_id] = FrameworkServer(
-            server_id=server_id,
-            network=networks[server_id],
-            world=config.server_ids,
-            hosted_units=config.unit_ids,
-            applications={unit: app for unit in movies},
-            catalog=catalog,
-            policy=policy,
-            settings=settings,
-            monitor=monitor,
-        )
-    clients: dict[str, ServiceClient] = {}
-    for client_id in config.client_ids:
-        clients[client_id] = ServiceClient(
-            client_id,
-            networks[client_id],
-            contact_servers=config.server_ids,
-            settings=settings,
-        )
-    for server in servers.values():
-        server.start()
-    for client in clients.values():
-        client.start()
-    return LiveChaosCluster(
-        sim=sim,
-        trace=trace,
-        monitor=monitor,
-        transports=transports,
-        networks=networks,
-        servers=servers,
-        clients=clients,
-        plane=plane,
+    runtime: LiveRuntime | None = None,
+    recorder: IngressRecorder | None = None,
+    faults: FaultPlane | None = None,
+) -> ServiceCluster:
+    """The chaos cluster over already-created transports, shared by the
+    live run and the replay so that construction order — and therefore
+    every RNG stream, timer, and sequence-number allocation — is
+    identical in both."""
+    return live_cluster(
+        sim,
+        transports,
+        config.server_ids,
+        vod_units(config),
+        config.build_policy(),
+        _live_settings(config),
+        runtime=runtime,
+        recorder=recorder,
+        faults=faults,
     )
-
-
-# ----------------------------------------------------------------------
-# fault application (the live twin of repro.faults.injector)
-# ----------------------------------------------------------------------
-def _apply_live(cluster: LiveChaosCluster, event: FaultEvent) -> None:
-    """Apply one fault to the live cluster, tracing it exactly like the
-    simulator injector does (``fault.<kind>`` records feed the digest).
-
-    Server-side kinds act on the protocol objects in live *and* replay
-    runs — they are deterministic parts of the schedule.  Transport-side
-    kinds drive the :class:`FaultPlane`; in replay there is no plane
-    (their effects are already baked into the recorded frame log) but
-    the trace record is still written, keeping the digests comparable.
-    """
-    cluster.trace.record(
-        cluster.sim.now,
-        event.target if event.target is not None else "net",
-        f"fault.{event.kind}",
-        **event.args,
-    )
-    kind = event.kind
-    if kind == "crash":
-        server = cluster.servers.get(event.target)
-        if server is not None and server.is_up():
-            server.crash()
-    elif kind == "recover":
-        server = cluster.servers.get(event.target)
-        if server is not None and not server.is_up():
-            server.recover()
-    elif kind == "slowdown":
-        server = cluster.servers.get(event.target)
-        if server is not None:
-            server.daemon.set_dispatch_delay(float(event.args["delay"]))
-    elif kind == "restore_speed":
-        server = cluster.servers.get(event.target)
-        if server is not None:
-            server.daemon.set_dispatch_delay(0.0)
-    elif kind == "crash_at":
-        server = cluster.servers.get(event.target)
-        if server is not None:
-            server.arm_crash_hook(event.args["hook"])
-    elif cluster.plane is None:
-        pass  # replay: wire-level faults live in the frame log already
-    elif kind == "partition":
-        cluster.plane.partition(*event.args["components"])
-    elif kind == "heal":
-        cluster.plane.heal_partition()
-    elif kind == "cut_link":
-        cluster.plane.cut_link(
-            event.args["a"], event.args["b"], symmetric=event.args.get("symmetric", True)
-        )
-    elif kind == "restore_link":
-        cluster.plane.restore_link(
-            event.args["a"], event.args["b"], symmetric=event.args.get("symmetric", True)
-        )
-    elif kind == "delay_link":
-        cluster.plane.set_link_delay(
-            event.args["a"],
-            event.args["b"],
-            float(event.args["extra"]),
-            symmetric=event.args.get("symmetric", True),
-        )
-    elif kind == "restore_delay":
-        cluster.plane.clear_link_delay(
-            event.args["a"], event.args["b"], symmetric=event.args.get("symmetric", True)
-        )
-    elif kind == "duplicate":
-        cluster.plane.set_duplication(float(event.args["probability"]))
-    elif kind == "reorder":
-        cluster.plane.set_reordering(
-            float(event.args["probability"]),
-            window=float(event.args.get("window", 0.05)),
-        )
 
 
 # ----------------------------------------------------------------------
 # phase scheduling (identical in live and replay)
 # ----------------------------------------------------------------------
 def _schedule_phases(
-    cluster: LiveChaosCluster,
+    cluster: ServiceCluster,
     config: ChaosConfig,
     seed: int,
     schedule: FaultSchedule,
@@ -287,111 +130,28 @@ def _schedule_phases(
     handles: list[SessionHandle] = []
     workloads: list[VodViewerWorkload] = []
 
-    def do_connect(client: ServiceClient) -> None:
-        client.connect()
-
     for client_id in config.client_ids:
         sim.schedule_at(
-            _BOOT * 0.5,
-            (lambda c=cluster.clients[client_id]: do_connect(c)),
-            label="chaos:connect",
+            _BOOT * 0.5, cluster.clients[client_id].connect, label="chaos:connect"
         )
-
-    def do_start(index: int) -> None:
-        unit = config.unit_ids[index % len(config.unit_ids)]
-        client = cluster.clients[config.client_ids[index]]
-        handle = client.start_session(unit)
-        handles.append(handle)
-        workload = VodViewerWorkload(
-            cluster=cluster,
-            client=client,
-            handle=handle,
-            rng=rngs.stream(f"chaos-workload-{index}"),
-            skip_interval_mean=3.0,
-        )
-        workloads.append(workload)
-        workload.start()
 
     for index in range(config.n_sessions):
         sim.schedule_at(
-            _BOOT, (lambda i=index: do_start(i)), label="chaos:start-session"
+            _BOOT,
+            lambda i=index: start_viewer(cluster, config, rngs, i, handles, workloads),
+            label="chaos:start-session",
         )
 
     inject_t0 = _BOOT + config.establish
-    for event in schedule.sorted_events():
-        sim.schedule_at(
-            inject_t0 + event.time,
-            (lambda e=event: _apply_live(cluster, e)),
-            label=f"chaos:fault:{event.kind}",
-        )
-
+    inject(cluster, schedule, offset=inject_t0)
     heal_time = inject_t0 + config.duration
-
-    def do_heal() -> None:
-        # mirror the sim runner's heal sweep, in the same order
-        for workload in workloads:
-            workload.stop()
-        for index, handle in enumerate(handles):
-            client = cluster.clients[config.client_ids[index]]
-            if client.is_up():
-                client.send_update(handle, {"op": "resume"})
-        for server in cluster.servers.values():
-            server.disarm_crash_hooks()
-            if server.is_up():
-                server.daemon.set_dispatch_delay(0.0)
-        if cluster.plane is not None:
-            cluster.plane.clear_all()
-        for _server_id, server in sorted(cluster.servers.items()):
-            if not server.is_up():
-                server.recover()
-
-    sim.schedule_at(heal_time, do_heal, label="chaos:heal")
+    sim.schedule_at(
+        heal_time,
+        lambda: heal_sweep(cluster, config, workloads, handles),
+        label="chaos:heal",
+    )
     end = heal_time + config.settle
     return handles, inject_t0, heal_time, end
-
-
-def _evaluate(
-    cluster: LiveChaosCluster,
-    config: ChaosConfig,
-    seed: int,
-    schedule: FaultSchedule,
-    handles: list[SessionHandle],
-    inject_t0: float,
-    heal_time: float,
-    end: float,
-    replay_log: str | None,
-    keep_cluster: bool,
-):
-    """Clean windows, oracles, digest — shared by live run and replay."""
-    disrupted = pad_intervals(
-        disruption_spans(schedule, inject_t0, heal_time), config.stabilize_margin
-    )
-    clean_windows = subtract_intervals([(inject_t0, end)], disrupted)
-    observation = RunObservation(
-        cluster=cluster,
-        config=config,
-        schedule=schedule,
-        handles=handles,
-        clean_windows=clean_windows,
-        serve_start=inject_t0,
-        end=end,
-    )
-    violations = run_oracles(observation)
-    result = RunResult(
-        seed=seed,
-        schedule=schedule,
-        violations=violations,
-        digest=trace_digest(cluster.trace_log()),
-        clean_windows=clean_windows,
-        responses=sum(len(h.received) for h in handles),
-        updates=sum(h.update_counter for h in handles),
-        end_time=end,
-        mode="live",
-        replay_log=replay_log,
-    )
-    if keep_cluster:
-        return result, observation
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -404,28 +164,17 @@ async def _run_live(
     runtime = LiveRuntime(sim)
     log = IngressLog()
     plane = FaultPlane()
-    transports: dict[str, MeshTransport] = {}
-    for node in [*config.server_ids, *config.client_ids]:
-        faulty = FaultyTransport(UdpLoopbackTransport(node), seed=seed)
-        await faulty.start("127.0.0.1", 0)
-        transports[node] = faulty
-        plane.adopt(node, faulty)
+    transports = await open_mesh(
+        [*config.server_ids, *config.client_ids],
+        lambda node: FaultyTransport(UdpLoopbackTransport(node), seed=seed),
+    )
     for node, transport in transports.items():
-        for peer, peer_transport in transports.items():
-            if peer != node:
-                host, port = peer_transport.address
-                transport.set_peer(peer, host, port)
+        plane.adopt(node, transport)
     if config.wan_profile is not None:
         wan_profile(config.wan_profile).install(plane)
 
     cluster = _assemble(
-        config,
-        sim,
-        transports,
-        settings=_live_settings(config),
-        plane=plane,
-        recorder=log.record,
-        wake=runtime.wake,
+        config, sim, transports, runtime=runtime, recorder=log.record, faults=plane
     )
     try:
         handles, inject_t0, heal_time, end = _schedule_phases(
@@ -434,17 +183,9 @@ async def _run_live(
         await runtime.run(end)
     finally:
         await cluster.close()
-    return _evaluate(
-        cluster,
-        config,
-        seed,
-        schedule,
-        handles,
-        inject_t0,
-        heal_time,
-        end,
-        replay_log=log.to_blob(),
-        keep_cluster=keep_cluster,
+    return evaluate(
+        cluster, config, seed, schedule, handles, inject_t0, heal_time, end,
+        keep_cluster, mode="live", replay_log=log.to_blob(),
     )
 
 
@@ -472,7 +213,9 @@ def replay_live(
     recorded ``(time, seq)`` coordinates, so the event heap — and hence
     every handler, timer, trace record, and oracle verdict — reproduces
     the original run exactly.  A digest match against the recorded run
-    is the witness.
+    is the witness.  A live run logs only frames that ran, so a logged
+    frame that does not run here means the log and the run disagree:
+    that raises ``ValueError``.
     """
     log = IngressLog.from_blob(log_blob)
     sim = Simulator()
@@ -481,16 +224,17 @@ def replay_live(
         node: ReplayTransport(node)
         for node in [*config.server_ids, *config.client_ids]
     }
-    cluster = _assemble(
-        config,
-        sim,
-        transports,
-        settings=_live_settings(config),
-        plane=None,
-    )
+    cluster = _assemble(config, sim, transports)
     handles, inject_t0, heal_time, end = _schedule_phases(
         cluster, config, seed, schedule
     )
+    ran = 0
+
+    def feed(network, frame: bytes) -> None:
+        nonlocal ran
+        ran += 1
+        network._ingest(frame)
+
     for record in log.records:
         network = cluster.networks.get(record.node)
         if network is None:
@@ -498,26 +242,19 @@ def replay_live(
         sim.inject_at(
             record.time,
             record.seq,
-            (lambda n=network, data=record.frame: n._ingest(data)),
+            (lambda n=network, data=record.frame: feed(n, data)),
             label="live:frame",
         )
     sim.run_until(end)
-    return _evaluate(
-        cluster,
-        config,
-        seed,
-        schedule,
-        handles,
-        inject_t0,
-        heal_time,
-        end,
-        replay_log=log_blob,
-        keep_cluster=keep_cluster,
+    if ran != len(log.records):
+        raise ValueError(
+            f"{len(log.records) - ran} of {len(log.records)} logged ingress "
+            f"frames did not run before the replay ended at t={end}"
+        )
+    return evaluate(
+        cluster, config, seed, schedule, handles, inject_t0, heal_time, end,
+        keep_cluster, mode="live", replay_log=log_blob,
     )
 
 
-__all__ = [
-    "LiveChaosCluster",
-    "replay_live",
-    "run_live_schedule",
-]
+__all__ = ["replay_live", "run_live_schedule"]

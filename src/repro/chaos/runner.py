@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.chaos.config import ChaosConfig
 from repro.chaos.oracles import RunObservation, Violation, run_oracles
+from repro.core.client import SessionHandle
 from repro.core.service import ServiceCluster
 from repro.faults.injector import inject
 from repro.faults.schedule import FaultSchedule
@@ -27,6 +28,7 @@ from repro.metrics.windows import (
     subtract_intervals,
 )
 from repro.services import VodApplication, build_movie
+from repro.sim.rng import RngRegistry
 from repro.services.workload import VodViewerWorkload
 
 
@@ -154,6 +156,16 @@ def trace_digest(trace) -> str:
 # ----------------------------------------------------------------------
 # the run itself
 # ----------------------------------------------------------------------
+def vod_units(config: ChaosConfig) -> dict[str, VodApplication]:
+    """Every unit of a chaos cluster, served by one shared VoD app."""
+    movies = {
+        unit: build_movie(unit, duration_seconds=600.0, frame_rate=10.0)
+        for unit in config.unit_ids
+    }
+    app = VodApplication(movies)
+    return {unit: app for unit in movies}
+
+
 def run_schedule(
     config: ChaosConfig,
     seed: int,
@@ -169,18 +181,13 @@ def run_schedule(
     """
     if getattr(config, "mode", "sim") == "live":
         # local import: repro.chaos.live imports this module for the
-        # shared windows/digest/oracle helpers
+        # shared viewer, heal and evaluation steps
         from repro.chaos.live import run_live_schedule
 
         return run_live_schedule(config, seed, schedule, keep_cluster=keep_cluster)
-    movies = {
-        unit: build_movie(unit, duration_seconds=600.0, frame_rate=10.0)
-        for unit in config.unit_ids
-    }
-    app = VodApplication(movies)
     cluster = ServiceCluster.build(
         n_servers=config.n_servers,
-        units={unit: app for unit in movies},
+        units=vod_units(config),
         replication=config.n_servers,
         policy=config.build_policy(),
         settings=config.apply_plant_settings(GcsSettings()),
@@ -191,21 +198,9 @@ def run_schedule(
     handles = []
     workloads = []
     for index in range(config.n_sessions):
-        unit = config.unit_ids[index % len(config.unit_ids)]
-        client = cluster.add_client(config.client_ids[index])
-        handle = client.start_session(unit)
-        handles.append(handle)
-        workload = VodViewerWorkload(
-            cluster=cluster,
-            client=client,
-            handle=handle,
-            rng=cluster.rngs.stream(f"chaos-workload-{index}"),
-            skip_interval_mean=3.0,
-        )
-        workloads.append(workload)
-        workload.start()
+        cluster.add_client(config.client_ids[index])
+        start_viewer(cluster, config, cluster.rngs, index, handles, workloads)
     cluster.run(config.establish)
-    serve_start = cluster.sim.now
 
     inject_t0 = cluster.sim.now
     inject(cluster, schedule)
@@ -213,6 +208,46 @@ def run_schedule(
 
     # --- heal phase: lift every fault, then let the cluster converge ---
     heal_time = cluster.sim.now
+    heal_sweep(cluster, config, workloads, handles)
+    cluster.run(config.settle)
+    return evaluate(
+        cluster, config, seed, schedule, handles, inject_t0, heal_time,
+        cluster.sim.now, keep_cluster,
+    )
+
+
+def start_viewer(
+    cluster: ServiceCluster,
+    config: ChaosConfig,
+    rngs: RngRegistry,
+    index: int,
+    handles: list[SessionHandle],
+    workloads: list[VodViewerWorkload],
+) -> None:
+    """Start session ``index`` on its client, with a viewer workload
+    streaming it; the handle and workload are appended to the lists."""
+    client = cluster.clients[config.client_ids[index]]
+    handle = client.start_session(config.unit_ids[index % len(config.unit_ids)])
+    handles.append(handle)
+    workload = VodViewerWorkload(
+        cluster=cluster,
+        client=client,
+        handle=handle,
+        rng=rngs.stream(f"chaos-workload-{index}"),
+        skip_interval_mean=3.0,
+    )
+    workloads.append(workload)
+    workload.start()
+
+
+def heal_sweep(
+    cluster: ServiceCluster,
+    config: ChaosConfig,
+    workloads: list[VodViewerWorkload],
+    handles: list[SessionHandle],
+) -> None:
+    """Lift every fault so the settle phase can judge convergence — the
+    one heal step of both the sim and the live runner."""
     for workload in workloads:
         workload.stop()  # quiesce updates so lost-update checks are exact
     for index, handle in enumerate(handles):
@@ -225,26 +260,40 @@ def run_schedule(
         server.disarm_crash_hooks()
         if server.is_up():
             server.daemon.set_dispatch_delay(0.0)
-    cluster.network.clear_adversity()
-    cluster.heal()
-    for server_id, server in sorted(cluster.servers.items()):
+    if cluster.faults is not None:
+        cluster.faults.clear_all()
+    for _server_id, server in sorted(cluster.servers.items()):
         if not server.is_up():
             server.recover()
-    cluster.run(config.settle)
-    end = cluster.sim.now
 
+
+def evaluate(
+    cluster: ServiceCluster,
+    config: ChaosConfig,
+    seed: int,
+    schedule: FaultSchedule,
+    handles: list[SessionHandle],
+    inject_t0: float,
+    heal_time: float,
+    end: float,
+    keep_cluster: bool,
+    mode: str = "sim",
+    replay_log: str | None = None,
+):
+    """Clean windows, oracles and digest of a finished run (sim, live or
+    replayed): a :class:`RunResult`, plus the :class:`RunObservation`
+    when ``keep_cluster`` is set."""
     disrupted = pad_intervals(
         disruption_spans(schedule, inject_t0, heal_time), config.stabilize_margin
     )
-    clean_windows = subtract_intervals([(serve_start, end)], disrupted)
-
+    clean_windows = subtract_intervals([(inject_t0, end)], disrupted)
     observation = RunObservation(
         cluster=cluster,
         config=config,
         schedule=schedule,
         handles=handles,
         clean_windows=clean_windows,
-        serve_start=serve_start,
+        serve_start=inject_t0,
         end=end,
     )
     violations = run_oracles(observation)
@@ -257,10 +306,21 @@ def run_schedule(
         responses=sum(len(h.received) for h in handles),
         updates=sum(h.update_counter for h in handles),
         end_time=end,
+        mode=mode,
+        replay_log=replay_log,
     )
     if keep_cluster:
         return result, observation
     return result
 
 
-__all__ = ["RunResult", "disruption_spans", "run_schedule", "trace_digest"]
+__all__ = [
+    "RunResult",
+    "disruption_spans",
+    "evaluate",
+    "heal_sweep",
+    "run_schedule",
+    "start_viewer",
+    "trace_digest",
+    "vod_units",
+]

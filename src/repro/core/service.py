@@ -1,5 +1,6 @@
-"""Cluster builder: wires the simulator, network, servers, placement and
-clients into a runnable service deployment.
+"""Cluster builder: wires the simulator, network(s), servers, placement
+and clients into a runnable service deployment — simulated here, live
+and replayed through :mod:`repro.net.cluster`, one cluster type for all.
 
 This is the entry point examples, tests and experiments use::
 
@@ -18,20 +19,21 @@ This is the entry point examples, tests and experiments use::
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.application import ServiceApplication
 from repro.core.client import ServiceClient
 from repro.core.config import AvailabilityPolicy
 from repro.core.server import FrameworkServer
 from repro.core.wire import content_group
+from repro.faults.injector import FaultSurface
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.sim.engine import Simulator
 from repro.sim.latency import FixedLatency, lan_latency, wan_latency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.sim.topology import Topology
+from repro.sim.topology import NodeId, Topology
 from repro.sim.trace import TraceLog
 
 
@@ -51,28 +53,59 @@ def place_units(
 
 
 class ServiceCluster:
-    """A complete simulated deployment of the framework."""
+    """A deployment of the framework: servers, clients and the networks
+    between them.
+
+    One type for every backend.  A simulated cluster (:meth:`build`)
+    shares one :class:`Network` among all nodes; a live cluster
+    (:func:`repro.net.cluster.live_cluster`) gives each node its own
+    :class:`~repro.net.runtime.LiveNetwork` over a socket transport, and
+    a replayed one the same over null transports.  Every backend builds
+    its processes through :meth:`add_nodes`, and ``faults`` is the fault
+    surface the dispatcher drives (:mod:`repro.faults.injector`): the
+    shared network, a live :class:`~repro.net.faults.FaultPlane`, or
+    ``None`` when there is no wire to perturb.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        network: Network,
-        servers: dict[str, FrameworkServer],
-        placement: dict[str, list[str]],
-        policy: AvailabilityPolicy,
-        settings: GcsSettings,
-        rngs: RngRegistry,
-        monitor: SpecMonitor,
+        trace: TraceLog,
+        monitor: SpecMonitor | None = None,
+        servers: dict[str, FrameworkServer] | None = None,
+        networks: dict[NodeId, Network] | None = None,
+        client: ServiceClient | None = None,
+        *,
+        units: Mapping[str, ServiceApplication] | None = None,
+        placement: dict[str, list[str]] | None = None,
+        policy: AvailabilityPolicy | None = None,
+        settings: GcsSettings | None = None,
+        network: Network | None = None,
+        faults: FaultSurface | None = None,
+        rngs: RngRegistry | None = None,
+        runtime: Any = None,
+        transports: dict[NodeId, Any] | None = None,
     ) -> None:
         self.sim = sim
-        self.network = network
-        self.servers = servers
-        self.placement = placement
-        self.policy = policy
-        self.settings = settings
-        self.rngs = rngs
+        self.trace = trace
         self.monitor = monitor
+        self.servers: dict[str, FrameworkServer] = servers if servers is not None else {}
+        #: each node's own network (every entry is ``network`` in simulation)
+        self.networks: dict[NodeId, Network] = networks if networks is not None else {}
         self.clients: dict[str, ServiceClient] = {}
+        if client is not None:
+            self.clients[client.client_id] = client
+        self.units = dict(units or {})
+        self.placement = placement if placement is not None else {}
+        self.policy = policy or AvailabilityPolicy()
+        self.settings = settings or GcsSettings()
+        #: the network every node shares (simulated clusters only)
+        self.network = network
+        self.faults = faults
+        self.rngs = rngs
+        #: live only: the wall-clock pacer and each node's socket transport
+        self.runtime = runtime
+        self.transports: dict[NodeId, Any] = transports if transports is not None else {}
 
     # ------------------------------------------------------------------
     # construction
@@ -90,7 +123,7 @@ class ServiceCluster:
         placement: dict[str, list[str]] | None = None,
         loss_probability: float = 0.0,
     ) -> "ServiceCluster":
-        """Build a cluster of ``n_servers`` hosting ``units``.
+        """Build a simulated cluster of ``n_servers`` hosting ``units``.
 
         ``latency`` is ``"lan"``, ``"wan"`` or ``"zero"``; GCS timeouts are
         left at their LAN defaults unless explicit ``settings`` are given.
@@ -98,8 +131,6 @@ class ServiceCluster:
         uniformly (the GCS recovers ordered traffic via NACKs; raw
         point-to-point responses are simply lost, as on a real UDP path).
         """
-        policy = policy or AvailabilityPolicy()
-        settings = settings or GcsSettings()
         rngs = RngRegistry(seed)
         sim = Simulator()
         trace_log = TraceLog(enabled=trace)
@@ -120,46 +151,76 @@ class ServiceCluster:
             # never perturbs the latency/loss draws of existing experiments
             chaos_rng=rngs.stream("chaos-net"),
         )
-        monitor = SpecMonitor()
-
         server_ids = [f"s{i}" for i in range(n_servers)]
-        if placement is None:
-            placement = place_units(list(units), server_ids, replication)
-        catalog = {unit: content_group(unit) for unit in units}
-
-        servers: dict[str, FrameworkServer] = {}
-        for server_id in server_ids:
-            hosted = [u for u, hosts in placement.items() if server_id in hosts]
-            servers[server_id] = FrameworkServer(
-                server_id=server_id,
-                network=network,
-                world=server_ids,
-                hosted_units=hosted,
-                applications={u: units[u] for u in hosted},
-                catalog=catalog,
-                policy=policy,
-                settings=settings,
-                monitor=monitor,
-            )
         cluster = ServiceCluster(
-            sim=sim,
-            network=network,
-            servers=servers,
-            placement=placement,
+            sim,
+            trace_log,
+            SpecMonitor(),
+            units=units,
+            placement=(
+                placement
+                if placement is not None
+                else place_units(list(units), server_ids, replication)
+            ),
             policy=policy,
             settings=settings,
+            network=network,
+            faults=network,
             rngs=rngs,
-            monitor=monitor,
         )
-        for server in servers.values():
-            server.start()
+        cluster.add_nodes(server_ids)
         return cluster
 
-    def spawn_server(
+    def add_nodes(
         self,
-        server_id: str,
-        hosted_units: list[str] | None = None,
-        applications: dict[str, ServiceApplication] | None = None,
+        server_ids: Sequence[str] = (),
+        client_ids: Sequence[str] = (),
+        world: list[str] | None = None,
+    ) -> None:
+        """Construct and start servers and clients: the one place a
+        deployment's processes are made, for every backend.
+
+        Servers are constructed in the given order, then clients, then
+        all are started in that same order — the order is part of the
+        determinism contract (timers and sequence numbers follow it).
+        Each server hosts the units ``placement`` assigns it; ``world``
+        (default ``server_ids``) is the server list new servers heartbeat
+        and new clients contact.
+        """
+        world = list(server_ids) if world is None else world
+        catalog = {unit: content_group(unit) for unit in self.units}
+        for server_id in server_ids:
+            hosted = [u for u, hosts in self.placement.items() if server_id in hosts]
+            self.servers[server_id] = FrameworkServer(
+                server_id=server_id,
+                network=self._network_of(server_id),
+                world=world,
+                hosted_units=hosted,
+                applications={u: self.units[u] for u in hosted},
+                catalog=catalog,
+                policy=self.policy,
+                settings=self.settings,
+                monitor=self.monitor,
+            )
+        for client_id in client_ids:
+            self.clients[client_id] = ServiceClient(
+                client_id,
+                self._network_of(client_id),
+                contact_servers=world,
+                settings=self.settings,
+                response_log_cap=self.policy.response_log_cap,
+            )
+        for server_id in server_ids:
+            self.servers[server_id].start()
+        for client_id in client_ids:
+            self.clients[client_id].start()
+
+    def _network_of(self, node: NodeId) -> Network:
+        """The node's own network; in simulation, the shared one."""
+        return self.networks.setdefault(node, self.network)
+
+    def spawn_server(
+        self, server_id: str, hosted_units: list[str] | None = None
     ) -> FrameworkServer:
         """Bring a brand-new server into the running service.
 
@@ -170,54 +231,37 @@ class ServiceCluster:
         it (state exchange + rebalance) with no client involvement.
 
         ``hosted_units`` defaults to every unit in the service (full
-        replication on the newcomer); ``applications`` defaults to reusing
-        the existing servers' application instances.
+        replication on the newcomer).
         """
         if server_id in self.servers:
             raise ValueError(f"server id {server_id!r} already exists")
-        if hosted_units is None:
-            hosted_units = sorted(self.placement)
-        if applications is None:
-            applications = {}
-            for unit in hosted_units:
-                host = self.placement[unit][0]
-                applications[unit] = self.servers[host].applications[unit]
-        catalog = {unit: content_group(unit) for unit in self.placement}
         world = sorted(self.servers) + [server_id]
-        server = FrameworkServer(
-            server_id=server_id,
-            network=self.network,
-            world=world,
-            hosted_units=hosted_units,
-            applications=applications,
-            catalog=catalog,
-            policy=self.policy,
-            settings=self.settings,
-            monitor=self.monitor,
-        )
         # existing daemons must learn to heartbeat the newcomer
         for existing in self.servers.values():
             if server_id not in existing.daemon.world:
                 existing.daemon.world.append(server_id)
-        self.servers[server_id] = server
+        if hosted_units is None:
+            hosted_units = sorted(self.placement)
         for unit in hosted_units:
-            self.placement.setdefault(unit, [])
-            if server_id not in self.placement[unit]:
-                self.placement[unit].append(server_id)
-        server.start()
-        return server
+            hosts = self.placement.setdefault(unit, [])
+            if server_id not in hosts:
+                hosts.append(server_id)
+        self.add_nodes([server_id], world=world)
+        return self.servers[server_id]
 
     def add_client(self, client_id: str) -> ServiceClient:
-        client = ServiceClient(
-            client_id,
-            self.network,
-            contact_servers=sorted(self.servers),
-            settings=self.settings,
-            response_log_cap=self.policy.response_log_cap,
-        )
-        client.start()
-        self.clients[client_id] = client
-        return client
+        self.add_nodes(client_ids=[client_id], world=sorted(self.servers))
+        return self.clients[client_id]
+
+    @property
+    def client(self) -> ServiceClient:
+        """The first client (scripted live runs have exactly one)."""
+        return next(iter(self.clients.values()))
+
+    async def close(self) -> None:
+        """Close every live transport (nothing to do in simulation)."""
+        for transport in self.transports.values():
+            await transport.close()
 
     # ------------------------------------------------------------------
     # running and fault control
@@ -236,10 +280,10 @@ class ServiceCluster:
         self.servers[server_id].recover()
 
     def partition(self, *components: Iterable[str]) -> None:
-        self.network.topology.partition(*components)
+        self.faults.partition(*components)
 
     def heal(self) -> None:
-        self.network.topology.heal_partition()
+        self.faults.heal_partition()
 
     # ------------------------------------------------------------------
     # queries
@@ -260,7 +304,7 @@ class ServiceCluster:
         ]
 
     def trace_log(self) -> TraceLog:
-        return self.network.trace
+        return self.trace
 
 
 __all__ = ["ServiceCluster", "place_units"]

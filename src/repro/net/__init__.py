@@ -14,9 +14,11 @@ them:
   subclass that routes remote traffic through a transport and a pacer
   that runs the deterministic simulator against the wall clock, so
   ``send``/``multicast``/``set_timer`` keep their exact sim semantics;
-* :mod:`repro.net.cluster` — the in-process live cluster the
-  ``python -m repro cluster`` CLI drives (scripted VoD workload,
-  kill/restart mid-run, session-audit report);
+* :mod:`repro.net.cluster` — the live builder (the framework's one
+  cluster type over per-node live networks; used by ``repro cluster``,
+  ``repro serve``, live chaos and replay) and the scripted VoD workload
+  ``python -m repro cluster`` drives (kill/restart mid-run,
+  session-audit report);
 * :mod:`repro.net.faults` — a fault-injecting transport wrapper
   (sever/delay/duplicate/reorder real links, WAN latency profiles, a
   JSON-lines runtime control channel) that gives live clusters the same

@@ -1,8 +1,9 @@
 """In-process live clusters and the scripted VoD workload.
 
-``python -m repro cluster`` builds one :class:`LiveCluster`: every server
-(and the client) owns its own socket and its own
-:class:`~repro.net.runtime.LiveNetwork`, all paced by one shared
+:func:`live_cluster` builds the framework's one cluster type
+(:class:`~repro.core.service.ServiceCluster`) over per-node
+:class:`~repro.net.runtime.LiveNetwork` instances: every server (and
+client) owns its own socket, all paced by one shared
 simulator running in lock-step with the wall clock — so every message
 between nodes crosses a real socket through the binary codec, while the
 protocol modules execute unchanged.
@@ -25,12 +26,12 @@ import asyncio
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable, cast
 
-from repro.core.client import ServiceClient, SessionHandle
+from repro.core.application import ServiceApplication
+from repro.core.client import SessionHandle
 from repro.core.config import AvailabilityPolicy
-from repro.core.server import FrameworkServer
-from repro.core.wire import content_group
+from repro.core.service import ServiceCluster
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.metrics.collectors import split_liveness
@@ -42,11 +43,13 @@ from repro.metrics.session_audit import (
     propagation_byte_calibration,
 )
 from repro.net.faults import FaultControlServer, FaultPlane, FaultyTransport
-from repro.net.runtime import LiveNetwork, LiveRuntime
+from repro.net.runtime import IngressRecorder, LiveNetwork, LiveRuntime
 from repro.net.transport import MeshTransport, create_transport
 from repro.services.content import build_movie
 from repro.services.vod import VodApplication
 from repro.sim.engine import Simulator
+from repro.sim.network import Network
+from repro.sim.topology import NodeId
 from repro.sim.trace import TraceLog
 
 
@@ -108,76 +111,90 @@ class WorkloadPlan:
     restart_time: float | None = None
 
 
-class LiveCluster:
-    """A live deployment: real sockets below, unchanged protocol above.
+#: The live deployment type is the framework's one cluster type.
+LiveCluster = ServiceCluster
 
-    Mirrors the :class:`~repro.core.service.ServiceCluster` query surface
-    (``servers``, ``sim``, ``trace_log()``, ``primaries_of()``) so the
-    session-audit metrics run on it verbatim.
+
+async def open_mesh(
+    node_ids: Iterable[str], make_transport: Callable[[str], MeshTransport]
+) -> dict[str, MeshTransport]:
+    """Bind one loopback socket per node and wire the full-mesh address
+    book."""
+    transports: dict[str, MeshTransport] = {}
+    for node in node_ids:
+        transport = make_transport(node)
+        await transport.start("127.0.0.1", 0)
+        transports[node] = transport
+    for node, transport in transports.items():
+        for peer, other in transports.items():
+            if peer != node:
+                transport.set_peer(peer, *other.address)
+    return transports
+
+
+def live_cluster(
+    sim: Simulator,
+    transports: dict[str, MeshTransport],
+    server_ids: list[str],
+    units: dict[str, ServiceApplication],
+    policy: AvailabilityPolicy,
+    settings: GcsSettings,
+    *,
+    world: list[str] | None = None,
+    runtime: LiveRuntime | None = None,
+    recorder: IngressRecorder | None = None,
+    faults: FaultPlane | None = None,
+    audit: bool = True,
+) -> ServiceCluster:
+    """Build a cluster whose nodes each own a :class:`LiveNetwork` over
+    the given transports (socket, fault-injecting, or replay).
+
+    Every server hosts every unit; every transport node that is not a
+    server is a client.  ``runtime`` supplies the pacer's wake-up (a
+    replay has none); ``recorder`` logs ingress frames for replay;
+    ``audit`` keeps the trace and spec monitor (a long-running single
+    node turns both off).  Nothing runs until the pacer (or a replay's
+    ``run_until``) does: protocol timers arm at the current sim time.
     """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        runtime: LiveRuntime,
-        trace: TraceLog,
-        monitor: SpecMonitor,
-        transports: dict[str, MeshTransport],
-        networks: dict[str, LiveNetwork],
-        servers: dict[str, FrameworkServer],
-        client: ServiceClient,
-    ) -> None:
-        self.sim = sim
-        self.runtime = runtime
-        self.trace = trace
-        self.monitor = monitor
-        self.transports = transports
-        self.networks = networks
-        self.servers = servers
-        self.client = client
-
-    def trace_log(self) -> TraceLog:
-        return self.trace
-
-    def primaries_of(self, session_id: str) -> list[str]:
-        return [
-            server_id
-            for server_id, server in self.servers.items()
-            if server.is_up() and session_id in server.primary_sessions()
-        ]
-
-    async def close(self) -> None:
-        for transport in self.transports.values():
-            await transport.close()
+    trace = TraceLog(enabled=audit)
+    wake = runtime.wake if runtime is not None else None
+    networks: dict[NodeId, Network] = {
+        node: LiveNetwork(
+            sim, transport, trace=trace, wake=wake, node_id=node, recorder=recorder
+        )
+        for node, transport in transports.items()
+    }
+    cluster = ServiceCluster(
+        sim,
+        trace,
+        SpecMonitor() if audit else None,
+        networks=networks,
+        units=units,
+        placement={unit: list(server_ids) for unit in units},
+        policy=policy,
+        settings=settings,
+        faults=faults,
+        runtime=runtime,
+        transports=dict(transports),
+    )
+    cluster.add_nodes(
+        server_ids, [node for node in transports if node not in server_ids], world
+    )
+    return cluster
 
 
-async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
-    """Bind one socket per node, wire the full-mesh address book, and
-    start the servers and client (protocol timers arm at sim t=0; nothing
-    runs until the pacer does)."""
+async def build_live_cluster(options: LiveClusterOptions) -> ServiceCluster:
+    """The scripted VoD cluster of ``repro cluster``: servers ``s0..``
+    and client ``c0``, one socket each."""
     if options.nodes < 1:
         raise ValueError("a cluster needs at least one node")
     sim = Simulator()
-    trace = TraceLog(enabled=True)
-    monitor = SpecMonitor()
     runtime = LiveRuntime(sim, max_tick=options.max_tick)
-
     server_ids = [f"s{i}" for i in range(options.nodes)]
-    client_id = "c0"
-    transports: dict[str, MeshTransport] = {}
-    networks: dict[str, LiveNetwork] = {}
     transport_name = options.transport or ("udp" if options.loopback else "tcp")
-    for node in [*server_ids, client_id]:
-        transport = create_transport(transport_name, node)
-        await transport.start("127.0.0.1", 0)
-        transports[node] = transport
-        networks[node] = LiveNetwork(sim, transport, trace=trace, wake=runtime.wake)
-    for node, transport in transports.items():
-        for peer, peer_transport in transports.items():
-            if peer != node:
-                host, port = peer_transport.address
-                transport.set_peer(peer, host, port)
-
+    transports = await open_mesh(
+        [*server_ids, "c0"], lambda node: create_transport(transport_name, node)
+    )
     # a movie long enough that the stream cannot finish mid-run
     run_seconds = (
         options.warmup + 0.7 + options.requests * options.update_interval
@@ -186,46 +203,18 @@ async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
     movie = build_movie(
         options.unit, duration_seconds=int(run_seconds * 2) + 60, frame_rate=24
     )
-    application = VodApplication({options.unit: movie})
-    catalog = {options.unit: content_group(options.unit)}
-    policy = AvailabilityPolicy(num_backups=options.num_backups)
-    settings = resolve_profile(options.profile)
-
-    servers: dict[str, FrameworkServer] = {}
-    for server_id in server_ids:
-        servers[server_id] = FrameworkServer(
-            server_id=server_id,
-            network=networks[server_id],
-            world=server_ids,
-            hosted_units=[options.unit],
-            applications={options.unit: application},
-            catalog=catalog,
-            policy=policy,
-            settings=settings,
-            monitor=monitor,
-        )
-    client = ServiceClient(
-        client_id,
-        networks[client_id],
-        contact_servers=server_ids,
-        settings=settings,
-    )
-    for server in servers.values():
-        server.start()
-    client.start()
-    return LiveCluster(
-        sim=sim,
+    return live_cluster(
+        sim,
+        transports,
+        server_ids,
+        {options.unit: VodApplication({options.unit: movie})},
+        AvailabilityPolicy(num_backups=options.num_backups),
+        resolve_profile(options.profile),
         runtime=runtime,
-        trace=trace,
-        monitor=monitor,
-        transports=transports,
-        networks=networks,
-        servers=servers,
-        client=client,
     )
 
 
-def schedule_workload(cluster: LiveCluster, options: LiveClusterOptions) -> WorkloadPlan:
+def schedule_workload(cluster: ServiceCluster, options: LiveClusterOptions) -> WorkloadPlan:
     """Script the whole run as simulator events before the pacer starts."""
     sim = cluster.sim
     client = cluster.client
@@ -293,7 +282,7 @@ def schedule_workload(cluster: LiveCluster, options: LiveClusterOptions) -> Work
     return plan
 
 
-def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
+def build_report(cluster: ServiceCluster, plan: WorkloadPlan) -> dict[str, Any]:
     """Audit the finished run; ``clean`` summarizes the CI gate."""
     handle = plan.handle
     reasons: list[str] = []
@@ -348,7 +337,8 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
         for node, transport in sorted(cluster.transports.items())
     }
     report["frames_rejected"] = sum(
-        network.frames_rejected for network in cluster.networks.values()
+        cast(LiveNetwork, network).frames_rejected
+        for network in cluster.networks.values()
     )
     if plan.killed is not None and plan.kill_time is not None:
         takeover: float | None = None
@@ -389,24 +379,21 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
     return report
 
 
-def _dump_stats(
-    path: str | None,
-    transports: dict[str, MeshTransport],
-    networks: dict[str, LiveNetwork] | None = None,
-) -> None:
+def _dump_stats(path: str | None, cluster: ServiceCluster) -> None:
     """Write every transport's full per-peer snapshot as one JSON file.
 
-    When the owning networks are supplied, each node also reports its
-    outgoing traffic split into liveness (heartbeats / SWIM probes) and
-    data, in real encoded bytes and frames — the number an operator
-    watches to judge membership overhead at a given cluster size."""
+    Each node also reports its outgoing traffic split into liveness
+    (heartbeats / SWIM probes) and data, in real encoded bytes and
+    frames — the number an operator watches to judge membership overhead
+    at a given cluster size."""
     if path is None:
         return
     payload: dict[str, Any] = {
         str(node): transport.stats_snapshot()
-        for node, transport in sorted(transports.items(), key=lambda kv: str(kv[0]))
+        for node, transport in sorted(cluster.transports.items(), key=lambda kv: str(kv[0]))
     }
-    for node, network in sorted((networks or {}).items(), key=lambda kv: str(kv[0])):
+    for node, any_network in sorted(cluster.networks.items(), key=lambda kv: str(kv[0])):
+        network = cast(LiveNetwork, any_network)
         frames = {
             kind: sent for kind, (sent, _bytes) in network.sent_kind_stats(node).items()
         }
@@ -429,7 +416,7 @@ async def _run_cluster(options: LiveClusterOptions) -> dict[str, Any]:
         plan = schedule_workload(cluster, options)
         await cluster.runtime.run(plan.duration)
         report = build_report(cluster, plan)
-        _dump_stats(options.stats_json, cluster.transports, cluster.networks)
+        _dump_stats(options.stats_json, cluster)
         return report
     finally:
         await cluster.close()
@@ -469,7 +456,6 @@ class ServeOptions:
 
 async def _serve(options: ServeOptions) -> dict[str, Any]:
     sim = Simulator()
-    trace = TraceLog(enabled=False)
     runtime = LiveRuntime(sim, max_tick=options.max_tick)
     transport = create_transport(options.transport, options.node_id)
     control_server: FaultControlServer | None = None
@@ -481,34 +467,28 @@ async def _serve(options: ServeOptions) -> dict[str, Any]:
         control_server = FaultControlServer(plane)
         await control_server.start(*options.control)
     await transport.start(*options.listen)
-    network = LiveNetwork(sim, transport, trace=trace, wake=runtime.wake)
     for peer, (host, port) in options.peers.items():
         transport.set_peer(peer, host, port)
-    world = sorted([options.node_id, *options.peers])
     movie = build_movie(
         options.unit, duration_seconds=int(options.duration * 2) + 60, frame_rate=24
     )
-    server = FrameworkServer(
-        server_id=options.node_id,
-        network=network,
-        world=world,
-        hosted_units=[options.unit],
-        applications={options.unit: VodApplication({options.unit: movie})},
-        catalog={options.unit: content_group(options.unit)},
-        policy=AvailabilityPolicy(num_backups=1),
-        settings=resolve_profile(options.profile),
-        monitor=None,
+    cluster = live_cluster(
+        sim,
+        {options.node_id: transport},
+        [options.node_id],
+        {options.unit: VodApplication({options.unit: movie})},
+        AvailabilityPolicy(num_backups=1),
+        resolve_profile(options.profile),
+        world=sorted([options.node_id, *options.peers]),
+        runtime=runtime,
+        audit=False,
     )
-    server.start()
+    server = cluster.servers[options.node_id]
     try:
         await runtime.run(options.duration)
-        _dump_stats(
-            options.stats_json,
-            {options.node_id: transport},
-            {options.node_id: network},
-        )
+        _dump_stats(options.stats_json, cluster)
     finally:
-        await transport.close()
+        await cluster.close()
         if control_server is not None:
             await control_server.close()
     members = sorted(str(member) for member in server.daemon.config.members)
@@ -537,6 +517,8 @@ __all__ = [
     "WorkloadPlan",
     "build_live_cluster",
     "build_report",
+    "live_cluster",
+    "open_mesh",
     "resolve_profile",
     "run_live_cluster",
     "run_single_node",

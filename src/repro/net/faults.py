@@ -19,15 +19,17 @@ bit-reproducible replay story lives one layer up, in the ingress frame
 log — see :mod:`repro.net.replay`.)
 
 :class:`FaultPlane` coordinates the wrappers of a whole cluster and
-speaks the chaos engine's fault vocabulary (``partition`` / ``heal`` /
-``cut_link`` / ``delay_link`` / ``duplicate`` / ``reorder`` …), with
-the same semantics as the simulator's topology: partition components
-are maintained separately from individual link cuts, ``heal_partition``
-does not restore cut links, and nodes unmentioned by a partition form
-one implicit extra component.  :class:`FaultControlServer` exposes the
-plane over a JSON-lines TCP socket so an external process (or
-``repro chaos --live`` in another orchestration mode) can drive faults
-against a running ``repro serve`` node.
+implements the fault verbs of :class:`repro.faults.injector.FaultSurface`
+(``partition`` / ``heal_partition`` / ``cut_link`` / ``set_link_delay`` /
+``set_duplication`` / ``set_reordering`` / ``clear_all`` …), the same
+verbs the simulated network implements, with the same semantics:
+partition components are maintained separately from individual link
+cuts, ``heal_partition`` does not restore cut links, and nodes
+unmentioned by a partition form one implicit extra component.
+:class:`FaultControlServer` exposes the plane over a JSON-lines TCP
+socket so an external process can drive faults against a running
+``repro serve`` node; its commands go through the same dispatcher
+(:func:`repro.faults.injector.apply_command`) as schedule events.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.faults.injector import apply_command
 from repro.net.transport import (
     FrameHandler,
     MeshTransport,
@@ -363,59 +366,11 @@ class FaultPlane:
         for transport in self._transports.values():
             transport.clear_faults()
 
-    # -- control-channel surface ---------------------------------------
-    def apply(self, command: dict[str, object]) -> None:
-        """Apply one JSON command (the control-channel wire surface).
-
-        Raises ``ValueError`` for unknown or malformed commands; the
-        control server turns that into an error reply.
-        """
-        op = command.get("op")
-        if op == "partition":
-            raw = command.get("components")
-            if not isinstance(raw, list):
-                raise ValueError("partition needs components: list of node lists")
-            self.partition(*[list(c) for c in raw])
-        elif op == "heal_partition":
-            self.heal_partition()
-        elif op in ("cut_link", "restore_link", "set_link_delay", "clear_link_delay"):
-            a, b = command.get("src"), command.get("dst")
-            if not isinstance(a, str) or not isinstance(b, str):
-                raise ValueError(f"{op} needs string src and dst")
-            symmetric = bool(command.get("symmetric", True))
-            if op == "cut_link":
-                self.cut_link(a, b, symmetric=symmetric)
-            elif op == "restore_link":
-                self.restore_link(a, b, symmetric=symmetric)
-            elif op == "set_link_delay":
-                self.set_link_delay(
-                    a, b, float(_number(command, "extra")), symmetric=symmetric
-                )
-            else:
-                self.clear_link_delay(a, b, symmetric=symmetric)
-        elif op == "set_loss":
-            a, b = command.get("src"), command.get("dst")
-            if not isinstance(a, str) or not isinstance(b, str):
-                raise ValueError("set_loss needs string src and dst")
-            self.set_loss(a, b, float(_number(command, "probability")))
-        elif op == "set_duplication":
-            self.set_duplication(float(_number(command, "probability")))
-        elif op == "set_reordering":
-            self.set_reordering(
-                float(_number(command, "probability")),
-                window=float(_number(command, "window", 0.05)),
-            )
-        elif op == "clear_all":
-            self.clear_all()
-        else:
-            raise ValueError(f"unknown fault op {op!r}")
-
-
-def _number(command: dict[str, object], key: str, default: float | None = None) -> float:
-    value = command.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{key} must be a number")
-    return float(value)
+    def connected(self, src: NodeId, dst: NodeId) -> bool:
+        """Does ``src``'s outbound link to ``dst`` carry frames now?"""
+        transport = self._transports.get(src)
+        link = transport._links.get(dst) if transport is not None else None
+        return link is None or not link.severed
 
 
 class FaultControlServer:
@@ -454,7 +409,7 @@ class FaultControlServer:
                     command = json.loads(line)
                     if not isinstance(command, dict):
                         raise ValueError("command must be a JSON object")
-                    self.plane.apply(command)
+                    apply_command(self.plane, command)
                     reply: dict[str, object] = {"ok": True}
                 except (ValueError, TypeError) as exc:
                     reply = {"ok": False, "error": str(exc)}

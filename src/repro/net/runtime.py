@@ -26,9 +26,9 @@ traffic (DESIGN.md §13 — this retired the old §11 caveat that loopback
 could not partition).
 
 Ingress is two-phase for replayability: the socket callback only
-*schedules* the frame (capturing its ``(time, seq)`` heap coordinates,
-optionally into an :class:`~repro.net.replay.IngressLog`) and all
-decoding happens inside the event.  Since the arrival schedule is the
+*schedules* the frame (fixing its ``(time, seq)`` heap coordinates), and
+recording into an :class:`~repro.net.replay.IngressLog`, decoding and
+delivery all happen inside the event.  Since the arrival schedule is the
 single wall-clock input to an otherwise deterministic event loop, a
 recorded log replayed through ``Simulator.inject_at`` reproduces the
 run bit-for-bit (see DESIGN.md §13).
@@ -54,9 +54,10 @@ from repro.sim.network import Message, Network
 from repro.sim.topology import NodeId, Topology
 from repro.sim.trace import TraceLog
 
-#: Callback invoked for every ingress frame with its scheduled heap
-#: coordinates: ``(node, event_time, event_seq, raw_frame)``.  The live
-#: chaos runner installs :meth:`repro.net.replay.IngressLog.record` here.
+#: Callback invoked, from inside its event, for every ingress frame that
+#: runs, with the frame's heap coordinates: ``(node, event_time,
+#: event_seq, raw_frame)``.  The live chaos runner installs
+#: :meth:`repro.net.replay.IngressLog.record` here.
 IngressRecorder = Callable[[NodeId, float, int, bytes], None]
 
 
@@ -99,10 +100,6 @@ class LiveNetwork(Network):
         # round-trip contract already relies on).
         self._encode_cache: list[tuple[Any, bytes]] = []
         self.encode_cache_hits = 0
-
-    def set_wake(self, wake: Callable[[], None]) -> None:
-        """Install the pacer's wake callback (set once the runtime exists)."""
-        self._wake = wake
 
     # ------------------------------------------------------------------
     # outbound
@@ -166,16 +163,24 @@ class LiveNetwork(Network):
         """One raw frame off the socket: schedule it, wake the pacer.
 
         This callback is the only place wall-clock timing enters the
-        event loop, so it does the *minimum*: capture the frame's heap
-        coordinates (recording them when a recorder is installed) and
-        defer everything else — decoding, accounting, delivery — into
-        the scheduled event, where replay can reproduce it exactly.
+        event loop, so it does the *minimum*: give the frame its heap
+        coordinates and defer everything else — decoding, accounting,
+        delivery — into the scheduled event, where replay can reproduce
+        it exactly.  The recorder is called from inside that event, with
+        the coordinates assigned here, so the log holds only frames that
+        actually ran: one landing after the pacer's last slice (while
+        the run shuts down) is never logged, just as it never executes.
         """
-        event = self.sim.schedule(
-            0.0, lambda: self._ingest(data), label="live:frame"
-        )
-        if self.recorder is not None:
-            self.recorder(self.node_id, event.time, event.seq, data)
+        recorder = self.recorder
+        if recorder is None:
+            self.sim.schedule(0.0, lambda: self._ingest(data), label="live:frame")
+        else:
+
+            def run() -> None:
+                recorder(self.node_id, event.time, event.seq, data)
+                self._ingest(data)
+
+            event = self.sim.schedule(0.0, run, label="live:frame")
         self._wake()
 
     def _ingest(self, data: bytes) -> None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -205,11 +205,34 @@ class Network:
             self._link_extra_delay.pop((b, a), None)
 
     def clear_adversity(self) -> None:
-        """Lift every chaos-induced weakening (used by the heal phase)."""
+        """Lift every chaos-induced weakening (delay, duplication,
+        reordering); connectivity is left as it is."""
         self.duplicate_probability = 0.0
         self.reorder_probability = 0.0
         self.reorder_window = 0.0
         self._link_extra_delay.clear()
+
+    # ------------------------------------------------------------------
+    # connectivity faults: the rest of the fault-verb surface
+    # (repro.faults.injector), shared with the live FaultPlane
+    # ------------------------------------------------------------------
+    def partition(self, *components: Iterable[NodeId]) -> None:
+        self.topology.partition(*components)
+
+    def heal_partition(self) -> None:
+        self.topology.heal_partition()
+
+    def cut_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
+        self.topology.cut_link(a, b, symmetric=symmetric)
+
+    def restore_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
+        self.topology.restore_link(a, b, symmetric=symmetric)
+
+    def clear_all(self) -> None:
+        """Lift every fault: adversity, partitions and link cuts."""
+        self.clear_adversity()
+        self.topology.heal_partition()
+        self.topology.restore_all_links()
 
     # ------------------------------------------------------------------
     # registration

@@ -63,6 +63,18 @@ class TestDeterminism:
         assert a.digest != b.digest
 
 
+class TestHealSweep:
+    def test_heal_restores_links_left_cut(self):
+        # the heal sweep lifts *every* wire fault, link cuts included —
+        # the same step the live runner takes through its fault plane
+        schedule = FaultSchedule().cut_link(0.5, "s0", "s1")
+        _result, observation = run_schedule(
+            ChaosConfig(), 3, schedule, keep_cluster=True
+        )
+        topology = observation.cluster.network.topology
+        assert topology.connected("s0", "s1") and topology.connected("s1", "s0")
+
+
 class TestPlantRegression:
     """End-to-end validation of the whole pipeline against a failure
     known to exist: ``handoff-stall`` disables the handoff-timeout

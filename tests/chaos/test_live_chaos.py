@@ -13,6 +13,7 @@ import pytest
 from repro.chaos import ChaosConfig, replay, run_schedule, write_artifact
 from repro.chaos.live import replay_live
 from repro.faults.schedule import FaultSchedule
+from repro.net.replay import IngressLog
 
 
 def _clean_config(**overrides):
@@ -75,6 +76,27 @@ def test_planted_failure_replays_bit_identically(planted_run):
     replayed = replay_live(config, 7, schedule, result.replay_log)
     assert replayed.digest == result.digest
     assert replayed.oracle_names() == result.oracle_names()
+
+
+def test_planted_failure_replays_bit_identically_under_cpu_contention(cpu_hogs):
+    """The live run shares the CPU with two busy loops, so the pacer
+    lags and frames land late — the replay must still match it."""
+    config = _clean_config(plant="partition-amnesia")
+    schedule = FaultSchedule().partition(0.3, ["s0", "c0"], ["s1", "s2"]).heal(0.8)
+    result = run_schedule(config, seed=5, schedule=schedule)
+    replayed = replay_live(config, 5, schedule, result.replay_log)
+    assert replayed.digest == result.digest
+    assert replayed.oracle_names() == result.oracle_names()
+
+
+def test_replay_rejects_a_logged_frame_that_cannot_run():
+    """A live run logs only frames that ran, so a record the replay does
+    not execute (here: stamped past the run's end) is a corrupt log."""
+    config = _clean_config()
+    log = IngressLog()
+    log.record("s0", 1e6, 0, b"frame")
+    with pytest.raises(ValueError, match="did not run"):
+        replay_live(config, 11, FaultSchedule(), log.to_blob())
 
 
 def test_live_artifact_roundtrip_and_digest_gate(tmp_path, planted_run):

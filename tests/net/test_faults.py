@@ -234,6 +234,18 @@ def test_control_channel_applies_and_rejects_commands():
         assert ta._link("b").severed and tb._link("a").severed
         reply = await command({"op": "no-such-op"})
         assert not reply["ok"] and "unknown fault op" in reply["error"]
+        # untrusted input fails closed with the checks schedules get: a
+        # component must be a list of ids, not a string to split into
+        # characters; probabilities lie in [0, 1); delays are >= 0
+        for bad in (
+            {"op": "partition", "components": ["ab"]},
+            {"op": "set_duplication", "probability": 5},
+            {"op": "set_link_delay", "src": "a", "dst": "b", "extra": -1},
+        ):
+            reply = await command(bad)
+            assert not reply["ok"], bad
+        assert ta._link("b").severed and not ta._link("b").extra_delay
+        assert ta.dup_p == 0.0 and not ta._link("b").severed_by - {"cut"}
         assert (await command({"op": "clear_all"}))["ok"]
         assert not ta._link("b").severed
         writer.close()

@@ -3,6 +3,7 @@
 import asyncio
 
 from repro.net.codec import WireEnvelope, encode_frame
+from repro.net.replay import IngressLog, ReplayTransport
 from repro.net.runtime import LiveNetwork, LiveRuntime
 from repro.net.transport import UdpLoopbackTransport
 from repro.sim.engine import Simulator
@@ -121,6 +122,29 @@ def test_live_network_rejects_garbage_frames():
         assert network.frames_rejected == 2
 
     _run(scenario())
+
+
+def test_frame_landing_after_the_last_slice_is_not_logged():
+    """A frame that arrives while the run shuts down is scheduled at the
+    end time but never executed, so the ingress log must not hold it
+    (a replay would execute it and diverge from the live run)."""
+
+    async def scenario():
+        sim = Simulator()
+        runtime = LiveRuntime(sim)
+        log = IngressLog()
+        transport = ReplayTransport("a")
+        network = LiveNetwork(
+            sim, transport, wake=runtime.wake, node_id="a", recorder=log.record
+        )
+        transport.on_frame(b"early")
+        await runtime.run(0.05)
+        transport.on_frame(b"late")  # after the pacer's last slice
+        return network, log
+
+    network, log = _run(scenario())
+    assert [record.frame for record in log.records] == [b"early"]
+    assert network.frames_rejected == 1  # only the early frame ran
 
 
 def test_measure_frame_reports_actual_bytes():
